@@ -72,6 +72,8 @@ def accumulate_buckets(
     usable = (view.shape[1] // delta) * delta
     if usable == 0:
         raise ValueError(f"delta {delta} exceeds the clipped width {view.shape[1]}")
+    # Integer magnitudes (as kirsch_gradient gives) sum exactly in int64, so
+    # theta is the same whatever order the additions run in.
     column_sums = view[:, :usable].sum(axis=0)
     offsets = (np.arange(usable) + clip_margin) % delta
     theta = np.bincount(offsets, weights=column_sums, minlength=delta)

@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from . import seba, synth
 from .blockiness import accumulate_buckets, blockiness_measure
 from .frame_io import FrameSourceError, SourceSpec, load_frame_sequence
 from .gradient import kirsch_gradient
-from .report import DetectionReport, parse_report, write_report
+from .report import DetectionReport, _fmt, parse_report, write_report
 from .temporal_detect import DetectionConfig, detect_sequence, evaluate_detection
 
 USAGE_ERROR = 1
@@ -138,9 +139,10 @@ def _validate_flags(parser: _Parser, args: argparse.Namespace) -> None:
             check(args.width is not None, "raw-yuv input needs --width and --height")
     if args.command in ("measure", "detect"):
         check(args.delta >= 1, "--delta must be at least 1")
+        check(math.isfinite(args.scale) and args.scale > 0, "--scale must be finite and positive")
         check(args.clip_margin >= 0, "--clip-margin cannot be negative")
     if args.command == "detect":
-        check(args.beta > 0, "--beta must be positive")
+        check(math.isfinite(args.beta) and args.beta > 0, "--beta must be finite and positive")
         check(args.window >= 1, "--window must be at least 1")
         if not args.causal:
             check(args.window % 2 == 1, "--window must be odd unless --causal is set")
@@ -182,7 +184,7 @@ def _run_measure(args: argparse.Namespace) -> None:
         buckets = accumulate_buckets(kirsch_gradient(frame),
                                      delta=args.delta, clip_margin=args.clip_margin)
         score = blockiness_measure(buckets, scale=args.scale)
-        rows.append(f"{frame.frame_index},{score.value:.6f},{score.boundary_offset}")
+        rows.append(f"{frame.frame_index},{_fmt(score.value)},{score.boundary_offset}")
     _emit("\n".join(rows) + "\n", args.out)
 
 

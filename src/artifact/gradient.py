@@ -1,9 +1,10 @@
 """Compass (Kirsch) and Sobel gradient operators on luma planes.
 
 Both operators replicate the border pixel outward before applying their 3x3
-windows, so output geometry always equals input geometry.  Window products
-are accumulated in int32 -- exact for 8-bit input, where no response can
-exceed +/-3825 -- and magnitudes and phases are float64.
+windows, so output geometry always equals input geometry.  Samples are 8-bit,
+so both are exact in integers: Kirsch runs in int16 (no intermediate exceeds
++/-6120, no response +/-3825) and Sobel accumulates its window products in
+int32.  Only the Sobel magnitude and phase are float64.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ DEGREES_PER_BIN = 6
 
 # Eight compass masks at 45-degree steps.  Index k=1 is the north mask; each
 # subsequent mask rotates the {5,5,5,-3,...,-3} ring one position clockwise.
+# kirsch_gradient works from ring sums instead (see _compass_sums); the masks
+# are the reference that its results are tested against.
 KIRSCH_MASKS = np.array(
     [
         [[5, 5, 5], [-3, 0, -3], [-3, -3, -3]],      # 1: N
@@ -41,13 +44,32 @@ SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.int32)
 class GradientField:
     """Per-pixel compass gradient: strongest |response| and winning mask.
 
+    Every Kirsch mask weighs three consecutive ring pixels by 5 and the other
+    five by -3, so mask k responds with 8*S3_k - 3*T, where S3_k sums its
+    three 5-weighted pixels and T all eight ring pixels.  With 8-bit samples
+    |8*S3_k| and |3*T| are at most 6120, so int16 holds every intermediate,
+    and magnitude = max_k |8*S3_k - 3*T| is at most 3825.
+
     direction_index holds the 1-based mask index; ties go to the lowest index.
+    No blockiness path reads it, so it is computed from ``samples`` on first
+    access and then kept.
     """
 
     width: int
     height: int
-    magnitude: np.ndarray  # float64, (height, width)
-    direction_index: np.ndarray  # uint8 in [1, 8], (height, width)
+    magnitude: np.ndarray  # int16 in [0, 3825], (height, width)
+    samples: np.ndarray = field(repr=False)  # the uint8 plane the field describes
+    _direction_index: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def direction_index(self) -> np.ndarray:
+        """uint8 in [1, 8], (height, width)."""
+        if self._direction_index is None:
+            triples, ring = _compass_sums(self.samples)
+            responses = np.abs(8 * np.stack(triples) - 3 * ring)
+            # argmax returns the first maximum, giving the lowest mask index on ties.
+            self._direction_index = (responses.argmax(axis=0) + 1).astype(np.uint8)
+        return self._direction_index
 
 
 @dataclass
@@ -99,19 +121,53 @@ def _correlate(views: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _compass_sums(samples: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The eight triple sums S3_k, in KIRSCH_MASKS order, and the ring sum T.
+
+    All are int16 planes of the input's shape, built from shared pair and
+    triple sums of the edge-replicated plane.
+    """
+    padded = np.pad(samples.astype(np.int16), 1, mode="edge")
+    pairs = padded[:, :-1] + padded[:, 1:]
+    rows = pairs[:, :-1] + padded[:, 2:]
+    cols = padded[:-2] + padded[1:-1] + padded[2:]
+    west, east = padded[1:-1, :-2], padded[1:-1, 2:]
+    north, south = rows[:-2], rows[2:]
+    triples = [
+        north,  # N
+        pairs[:-2, :-1] + west,  # NW
+        cols[:, :-2],  # W
+        pairs[2:, :-1] + west,  # SW
+        south,  # S
+        pairs[2:, 1:] + east,  # SE
+        cols[:, 2:],  # E
+        pairs[:-2, 1:] + east,  # NE
+    ]
+    ring = north + south
+    ring += west
+    ring += east
+    return triples, ring
+
+
 def kirsch_gradient(frame: LumaFrame) -> GradientField:
-    """Strongest absolute response over the eight compass masks, per pixel."""
-    views = _windows(frame.samples)
-    responses = np.stack([np.abs(_correlate(views, m)) for m in KIRSCH_MASKS])
-    # argmax returns the first maximum, giving the lowest mask index on ties.
-    winners = np.argmax(responses, axis=0)
-    magnitude = np.max(responses, axis=0).astype(np.float64)
-    return GradientField(
-        width=frame.width,
-        height=frame.height,
-        magnitude=magnitude,
-        direction_index=(winners + 1).astype(np.uint8),
-    )
+    """Strongest absolute response over the eight compass masks, per pixel.
+
+    max_k |8*S3_k - 3*T| = max(8*max_k S3_k - 3*T, 3*T - 8*min_k S3_k), so a
+    running max and min of the triple sums stand in for the eight responses.
+    """
+    triples, ring = _compass_sums(frame.samples)
+    high = np.maximum(triples[0], triples[1])
+    low = np.minimum(triples[0], triples[1])
+    for triple in triples[2:]:
+        np.maximum(high, triple, out=high)
+        np.minimum(low, triple, out=low)
+    ring *= 3
+    high *= 8
+    high -= ring
+    low *= 8
+    np.subtract(ring, low, out=low)
+    np.maximum(high, low, out=high)
+    return GradientField(frame.width, frame.height, magnitude=high, samples=frame.samples)
 
 
 def sobel_gradient(frame: LumaFrame) -> SobelField:

@@ -10,6 +10,7 @@ row per frame).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -101,12 +102,18 @@ def parse_report(text: str) -> DetectionReport:
 
 
 def _fmt(value: Any) -> str:
-    """One scalar, deterministically."""
+    """One scalar, deterministically.
+
+    Raises ValueError on a NaN or infinite float, which neither JSON nor the
+    CSV readers of these reports accept.
+    """
     if value is None:
         return "null"
     if value is True or value is False:
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot write non-finite value {value}")
         return f"{value:.6f}"
     if isinstance(value, int):
         return str(value)
@@ -154,7 +161,7 @@ def _write_json(report: DetectionReport) -> str:
 def _write_csv(report: DetectionReport) -> str:
     rows = ["frame,b_msr,window_mean,window_stddev,verdict"]
     for row in report.per_frame:
-        mean = "" if row.window_mean is None else f"{row.window_mean:.6f}"
-        stddev = "" if row.window_stddev is None else f"{row.window_stddev:.6f}"
-        rows.append(f"{row.frame_index},{float(row.b_msr):.6f},{mean},{stddev},{row.verdict}")
+        mean = "" if row.window_mean is None else _fmt(float(row.window_mean))
+        stddev = "" if row.window_stddev is None else _fmt(float(row.window_stddev))
+        rows.append(f"{row.frame_index},{_fmt(float(row.b_msr))},{mean},{stddev},{row.verdict}")
     return "\n".join(rows) + "\n"

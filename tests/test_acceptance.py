@@ -6,6 +6,7 @@ pinned in the assertions; nothing here is statistical except where a
 correlation floor is the stated bar.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from scipy.signal import correlate2d
 from scipy.stats import spearmanr
 
 from conftest import frame_of, random_frame
+import artifact
 from artifact.blockiness import accumulate_buckets, blockiness_measure
 from artifact.gradient import (
     KIRSCH_MASKS,
@@ -285,10 +287,15 @@ def test_criterion_8_bin_reduction_speedup():
 
 
 def _cli(args, cwd):
+    # The child runs in cwd, where a relative PYTHONPATH would not resolve, so
+    # it is handed the absolute directory this package was imported from.
+    package_root = str(Path(artifact.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "artifact.cli", *args],
         capture_output=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
         check=False,
     )
     assert proc.returncode == 0, proc.stderr.decode()

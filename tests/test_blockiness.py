@@ -13,7 +13,7 @@ def _field(magnitude):
         width=w,
         height=h,
         magnitude=magnitude,
-        direction_index=np.ones((h, w), dtype=np.uint8),
+        samples=np.zeros((h, w), dtype=np.uint8),
     )
 
 

@@ -143,10 +143,22 @@ def test_synth_is_reproducible(tmp_path):
         ["synth", "--out", "p", "--kind", "block-grid", "--period", "2"],
         ["synth", "--out", "p", "--kind", "checkerboard", "--period", "9"],
         ["synth", "--out", "p", "--length", "0"],
+        ["measure", "--input", "x.y4m", "--scale", "nan"],
+        ["detect", "--input", "x.y4m", "--scale", "inf"],
+        ["measure", "--input", "x.y4m", "--scale", "0"],
+        ["detect", "--input", "x.y4m", "--beta", "inf"],
     ],
 )
 def test_usage_errors_exit_1(argv):
     assert _run(argv) == 1
+
+
+@pytest.mark.parametrize("command", ["measure", "detect"])
+def test_overflowing_scale_exits_2_without_output(burst_corpus, tmp_path, command):
+    argv, _ = burst_corpus
+    out = tmp_path / "out"
+    assert _run([command, *argv, "--scale", "1e308", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_missing_input_exits_2(tmp_path):

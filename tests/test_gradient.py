@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from artifact.blockiness import accumulate_buckets
 from artifact.gradient import (
     DIRECTION_BIN_COUNT,
     KIRSCH_MASKS,
@@ -45,11 +46,12 @@ def _scipy_correlate(samples, mask):
 
 def test_kirsch_matches_loop_oracle():
     rng = np.random.default_rng(42)
-    frame = random_frame(rng, 9, 7)
-    responses = np.stack([np.abs(_loop_correlate(frame.samples, m)) for m in KIRSCH_MASKS])
-    field = kirsch_gradient(frame)
-    assert np.array_equal(field.magnitude, responses.max(axis=0))
-    assert np.array_equal(field.direction_index, responses.argmax(axis=0) + 1)
+    # 3x3 is the smallest frame a LumaFrame accepts.
+    for frame in (random_frame(rng, 9, 7), random_frame(rng, 3, 3)):
+        responses = np.stack([np.abs(_loop_correlate(frame.samples, m)) for m in KIRSCH_MASKS])
+        field = kirsch_gradient(frame)
+        assert np.array_equal(field.magnitude, responses.max(axis=0))
+        assert np.array_equal(field.direction_index, responses.argmax(axis=0) + 1)
 
 
 def test_sobel_matches_loop_oracle():
@@ -65,13 +67,21 @@ def test_sobel_matches_loop_oracle():
 
 def test_kirsch_matches_scipy_on_random_frames():
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        frame = random_frame(rng, 24, 31)
+    frames = [random_frame(rng, 24, 31) for _ in range(10)]
+    # Binary 0/255 frames: ties between masks and the +/-3825 extremes are common.
+    frames += [frame_of(255 * rng.integers(0, 2, size=(24, 31))) for _ in range(10)]
+    # A strided view of a larger plane, not a contiguous array.
+    frames.append(frame_of(rng.integers(0, 256, size=(50, 93)).astype(np.uint8)[1::2, ::3]))
+    assert not frames[-1].samples.flags.c_contiguous
+    for frame in frames:
         responses = np.stack(
             [np.abs(_scipy_correlate(frame.samples, m)) for m in KIRSCH_MASKS]
         )
         field = kirsch_gradient(frame)
         assert np.array_equal(field.magnitude, responses.max(axis=0))
+        # Blockiness never reads the winning mask, so it is not built for it.
+        accumulate_buckets(field)
+        assert field._direction_index is None
         # argmax on the stacked oracle also resolves ties to the lowest mask
         assert np.array_equal(field.direction_index, responses.argmax(axis=0) + 1)
 

@@ -1,6 +1,7 @@
 """Report types and byte-deterministic serialization."""
 
 import json
+import math
 
 import pytest
 
@@ -72,6 +73,14 @@ def test_csv_layout():
     assert lines[2] == "1,2.500000,2.000000,0.500000,ok"
     assert lines[3] == "2,9.875000,3.000000,4.500000,distorted"
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_refused(format, value):
+    report = DetectionReport(per_frame=[FrameScore(0, 1.0, 2.0, value, "ok")])
+    with pytest.raises(ValueError, match="non-finite"):
+        write_report(report, format)
 
 
 def test_unknown_format_rejected():

@@ -18,7 +18,12 @@ from .blockiness import accumulate_buckets, blockiness_measure
 from .frame_io import FrameSourceError, SourceSpec, load_frame_sequence
 from .gradient import kirsch_gradient
 from .report import DetectionReport, _fmt, parse_report, write_report
-from .temporal_detect import DetectionConfig, detect_sequence, evaluate_detection
+from .temporal_detect import (
+    VERDICT_INSUFFICIENT,
+    DetectionConfig,
+    detect_sequence,
+    evaluate_detection,
+)
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -198,6 +203,10 @@ def _run_detect(args: argparse.Namespace) -> None:
         clip_margin=args.clip_margin,
     )
     report.config["input_format"] = args.format
+    if len(report.per_frame) < cfg.window + 1:
+        print(f"artifact detect: warning: {len(report.per_frame)} frame(s) read, fewer than "
+              f"window + 1 = {cfg.window + 1}; every verdict is {VERDICT_INSUFFICIENT}",
+              file=sys.stderr)
     _emit(write_report(report, args.report_format), args.out)
 
 

@@ -6,7 +6,9 @@ parsed (to keep file offsets correct) and discarded.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -99,6 +101,7 @@ def load_frame_sequence(spec: SourceSpec) -> Iterator[LumaFrame]:
 # --- y4m ---------------------------------------------------------------
 
 _Y4M_MAGIC = b"YUV4MPEG2"
+_Y4M_MAX_EDGE = 16384  # twice the width of 8K UHD
 
 # Luma-plane frame size in bytes, as a fraction of width*height.
 _Y4M_PLANE_FACTORS = {
@@ -118,18 +121,25 @@ def _iter_y4m(handle: BinaryIO) -> Iterator[LumaFrame]:
     for token in header.decode("ascii", "replace").split()[1:]:
         tag, value = token[0], token[1:]
         if tag == "W":
-            width = int(value)
+            width = _y4m_edge(tag, value)
         elif tag == "H":
-            height = int(value)
+            height = _y4m_edge(tag, value)
         elif tag == "C":
             chroma = _normalise_chroma_tag(value)
     if width is None or height is None:
         raise GeometryError("y4m header lacks W/H geometry")
     luma_bytes = width * height
     extra_num, extra_den = _Y4M_PLANE_FACTORS[chroma]
-    chroma_bytes = luma_bytes * extra_num // extra_den if chroma != "mono" else 0
-    if chroma == "444":
-        chroma_bytes = luma_bytes * 2
+    chroma_bytes = luma_bytes * extra_num // extra_den
+    remaining = _bytes_left(handle)
+    # Once one frame is known to fit in the file, no read can ask for more
+    # bytes than the file holds, however large the header says frames are.
+    # Nothing left means a stream of no frames.
+    if remaining and remaining < len(b"FRAME\n") + luma_bytes + chroma_bytes:
+        raise FrameSourceError(
+            f"truncated y4m stream: {remaining} bytes left after the header, "
+            f"fewer than one {width}x{height} C{chroma} frame"
+        )
 
     index = 0
     while True:
@@ -144,6 +154,23 @@ def _iter_y4m(handle: BinaryIO) -> Iterator[LumaFrame]:
         plane = np.frombuffer(payload[:luma_bytes], dtype=np.uint8)
         yield LumaFrame(width, height, plane.reshape(height, width).copy(), index)
         index += 1
+
+
+def _y4m_edge(tag: str, value: str) -> int:
+    if not re.fullmatch(r"[0-9]+", value) or not 0 < int(value) <= _Y4M_MAX_EDGE:
+        raise GeometryError(
+            f"y4m header has {tag}{value}; frame edges must be integers in 1..{_Y4M_MAX_EDGE}"
+        )
+    return int(value)
+
+
+def _bytes_left(handle: BinaryIO) -> int:
+    """Bytes from the read position to the end of a regular file; 0 for other handles."""
+    try:
+        info = os.fstat(handle.fileno())
+    except OSError:  # io.UnsupportedOperation: no file behind the handle
+        return 0
+    return info.st_size - handle.tell() if stat.S_ISREG(info.st_mode) else 0
 
 
 def _normalise_chroma_tag(value: str) -> str:

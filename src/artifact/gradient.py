@@ -79,7 +79,8 @@ class SobelField:
     phase is the four-quadrant arctangent of (sy, sx) in degrees, normalised
     to [0, 360); it is computed lazily because several consumers only need
     the raw component sums.  Pixels with sx == sy == 0 have no phase; see
-    ``undefined``.
+    ``undefined``.  The quantized direction grid is cached next to it by
+    ``direction_grid``.
     """
 
     width: int
@@ -88,6 +89,7 @@ class SobelField:
     sy: np.ndarray  # int32
     magnitude: np.ndarray  # float64
     _phase: np.ndarray | None = field(default=None, repr=False)
+    _direction_grid: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def undefined(self) -> np.ndarray:
@@ -184,8 +186,14 @@ def quantize_direction(phase_degrees: float) -> int:
 
 
 def direction_grid(sobel: SobelField) -> np.ndarray:
-    """Quantized direction bin per pixel; -1 where the phase is undefined."""
-    bins = np.floor_divide(sobel.phase, DEGREES_PER_BIN).astype(np.int64)
-    np.mod(bins, DIRECTION_BIN_COUNT, out=bins)
-    bins[sobel.undefined] = -1
-    return bins
+    """Quantized direction bin per pixel; -1 where the phase is undefined.
+
+    Built once per field and shared by every caller, so it is read-only.
+    """
+    if sobel._direction_grid is None:
+        bins = np.floor_divide(sobel.phase, DEGREES_PER_BIN).astype(np.int64)
+        np.mod(bins, DIRECTION_BIN_COUNT, out=bins)
+        bins[sobel.undefined] = -1
+        bins.flags.writeable = False
+        sobel._direction_grid = bins
+    return sobel._direction_grid

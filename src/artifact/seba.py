@@ -177,8 +177,6 @@ def family_bins(orientation: int) -> np.ndarray:
     return np.array(sorted(kept), dtype=np.int64)
 
 
-SIGNIFICANT_BINS_DEFAULT = family_bins(0)  # {59,0,1, 14,15,16, 29,30,31, 44,45,46}
-
 # Tangents of the kept-bin boundaries around each family axis.  The kept
 # bins span [-6, +12) degrees per axis; the pre-filter ratio 7/32 = 0.21875
 # sits strictly between tan(12) and tan(12.5), so the filter stays a strict
@@ -464,11 +462,29 @@ def matching_score(grid: np.ndarray, dx: int = 0, dy: int = 0) -> MatchResult:
 
 
 def _axis_period(grid: np.ndarray, max_shift: int, horizontal: bool) -> tuple[int | None, np.ndarray]:
+    """Period along one axis and the match fraction at every shift.
+
+    Each fraction equals ``matching_score`` at that displacement, score over
+    base_defined, but costs one comparison of the grid with its displaced
+    copy.  The rows of ``lines`` are the grid's columns for the horizontal
+    axis and its rows otherwise, so every shift is a contiguous row offset.
+    """
+    lines = grid.T if horizontal else grid
+    defined = lines >= 0
+    # Undefined entries read -1 in the base and -2 in the shifted copy, so
+    # an equal pair is always a defined match: the count is exactly score.
+    small = np.issubdtype(lines.dtype, np.integer) and lines.max(initial=-1) <= 127
+    dtype = np.int8 if small else lines.dtype
+    base = np.ascontiguousarray(np.where(defined, lines, -1), dtype=dtype)
+    shifted = np.ascontiguousarray(np.where(defined, lines, -2), dtype=dtype)
+    # base_defined[s]: defined pixels from line s on, the base side at shift s.
+    base_defined = np.cumsum(np.count_nonzero(defined, axis=1)[::-1])[::-1]
+    n = len(base)
     fractions = np.zeros(max_shift)
     for shift in range(1, max_shift + 1):
-        result = matching_score(grid, dx=shift if horizontal else 0, dy=0 if horizontal else shift)
-        if result.base_defined:
-            fractions[shift - 1] = result.score / result.base_defined
+        if base_defined[shift]:
+            score = np.count_nonzero(base[shift:] == shifted[: n - shift])
+            fractions[shift - 1] = score / base_defined[shift]
     period = None
     dipped = False
     for shift in range(1, max_shift + 1):

@@ -171,6 +171,42 @@ def test_malformed_y4m_exits_2(tmp_path):
     assert _run(["measure", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "geometry,message",
+    [
+        (b"W0 H4", "frame edges must be integers in 1..16384"),
+        (b"W-4 H-4", "frame edges must be integers in 1..16384"),
+        (b"Wfour H4", "frame edges must be integers in 1..16384"),
+        (b"W16385 H4", "frame edges must be integers in 1..16384"),
+        # A declared frame larger than what follows the header is refused
+        # before it is read.
+        (b"W64 H64", "bytes left after the header"),
+    ],
+)
+def test_hostile_y4m_header_exits_2_with_a_message(tmp_path, capsys, geometry, message):
+    clip = tmp_path / "clip.y4m"
+    clip.write_bytes(b"YUV4MPEG2 " + geometry + b" Cmono\nFRAME\n" + bytes(10))
+    assert _run(["detect", "--input", str(clip)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("artifact detect: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+def test_short_sequence_warns_once_on_stderr(tmp_path, capsys):
+    frames = [pattern_frame(PatternSpec(kind="block-grid", period=16, amplitude=64), 16, 16)] * 3
+    clip = tmp_path / "clip.y4m"
+    _mono_y4m(clip, frames)
+    assert _run(["detect", "--input", str(clip), "--window", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "insufficient-window" in captured.err
+    report = json.loads(captured.out)
+    assert {row["verdict"] for row in report["frames"]} == {"insufficient-window"}
+    clip_long = tmp_path / "long.y4m"
+    _mono_y4m(clip_long, frames + frames[:1])
+    assert _run(["detect", "--input", str(clip_long), "--window", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_evaluate_bad_report_exits_2(tmp_path):
     report = tmp_path / "report.json"
     truth = tmp_path / "truth.txt"

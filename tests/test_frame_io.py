@@ -1,5 +1,7 @@
 """Loaders: y4m, headerless raw YUV, and PGM sequences."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from artifact.frame_io import (
     GeometryError,
     LumaFrame,
     SourceSpec,
+    _iter_y4m,
     load_frame_sequence,
 )
 
@@ -93,6 +96,19 @@ def test_y4m_rejects_unknown_colourspace(tmp_path):
     clip.write_bytes(b"YUV4MPEG2 W4 H4 C410\nFRAME\n" + bytes(24))
     with pytest.raises(FrameSourceError):
         list(load_frame_sequence(SourceSpec(clip)))
+
+
+def test_y4m_header_only_stream_has_no_frames(tmp_path):
+    clip = tmp_path / "clip.y4m"
+    clip.write_bytes(b"YUV4MPEG2 W4 H4 C420\n")
+    assert list(load_frame_sequence(SourceSpec(clip))) == []
+
+
+def test_y4m_reads_from_a_handle_without_a_file(tmp_path):
+    planes = [_plane(4, 6), _plane(4, 6, start=3)]
+    frames = list(_iter_y4m(io.BytesIO(_y4m_bytes(6, 4, planes))))
+    assert [f.frame_index for f in frames] == [0, 1]
+    assert np.array_equal(frames[1].samples, planes[1].reshape(4, 6))
 
 
 def test_missing_file_is_a_source_error(tmp_path):

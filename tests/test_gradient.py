@@ -178,6 +178,14 @@ def test_axis_aligned_ramps_hit_axis_bins():
     assert np.all(grid[1:-1, :] == 15)
 
 
+def test_direction_grid_is_cached_and_read_only():
+    field = sobel_gradient(random_frame(np.random.default_rng(11), 8, 8))
+    grid = direction_grid(field)
+    assert direction_grid(field) is grid
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1
+
+
 def test_phase_is_computed_once_and_cached():
     rng = np.random.default_rng(10)
     field = sobel_gradient(random_frame(rng, 8, 8))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import frame_of, random_frame
+from artifact import seba
 from artifact.gradient import direction_grid, quantize_direction, sobel_gradient
 from artifact.seba import (
     BlockRegion,
@@ -348,6 +349,39 @@ def test_pattern_dimensions_flat_grid_has_no_period():
     assert geometry.period_height is None
 
 
+def _oracle_fractions(grid, horizontal):
+    extent = grid.shape[1] if horizontal else grid.shape[0]
+    fractions = []
+    for shift in range(1, extent):
+        result = matching_score(grid, dx=shift if horizontal else 0, dy=0 if horizontal else shift)
+        fractions.append(result.score / result.base_defined if result.base_defined else 0.0)
+    return np.array(fractions)
+
+
+@pytest.mark.parametrize("shape", [(61, 40), (40, 61), (17, 17), (3, 9)])
+@pytest.mark.parametrize("low,high", [(-1, 60), (-1, 3), (-4, 300)])
+def test_axis_period_fractions_equal_matching_score(shape, low, high):
+    # Every shift up to the far edge, on both axes: the sweep must reproduce
+    # score / base_defined exactly, including where no base pixel is defined.
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] + high)
+    grid = rng.integers(low, high, size=shape)
+    grid[1] = -1  # a row with no defined entry
+    grid[:, -2:] = -1  # trailing columns with none
+    grid[-1] = -1
+    for horizontal in (True, False):
+        expected = _oracle_fractions(grid, horizontal)
+        _, fractions = seba._axis_period(grid, len(expected), horizontal)
+        assert np.array_equal(fractions, expected)
+
+
+def test_axis_period_on_a_grid_with_no_defined_pixels():
+    grid = np.full((12, 9), -1)
+    for horizontal in (True, False):
+        period, fractions = seba._axis_period(grid, 8, horizontal)
+        assert period is None
+        assert fractions.shape == (8,) and not fractions.any()
+
+
 def test_pattern_dimensions_default_and_invalid_max_shift():
     grid = np.zeros((10, 14), dtype=np.int64)
     geometry = pattern_dimensions(grid)
@@ -449,3 +483,30 @@ def test_analyze_frame_returns_summary():
     assert isinstance(summary, BlockSummary)
     assert summary.frame_index == 3
     assert summary.block_class in ("uniform", "edge", "texture")
+
+
+def test_analyze_frame_builds_the_direction_grid_once(monkeypatch):
+    # The grid is quantized from the field's phase exactly once, and the
+    # period sweep gets that same cached array.
+    fields, swept, builds = [], [], []
+    floor_divide = np.floor_divide
+
+    def sobel(frame):
+        fields.append(sobel_gradient(frame))
+        return fields[-1]
+
+    def counting_floor_divide(x, *args, **kwargs):
+        if fields and x is fields[-1]._phase:
+            builds.append(x)
+        return floor_divide(x, *args, **kwargs)
+
+    def dimensions(grid, max_shift=None):
+        swept.append(grid)
+        return pattern_dimensions(grid, max_shift)
+
+    monkeypatch.setattr(seba, "sobel_gradient", sobel)
+    monkeypatch.setattr(seba, "pattern_dimensions", dimensions)
+    monkeypatch.setattr(np, "floor_divide", counting_floor_divide)
+    analyze_frame(random_frame(np.random.default_rng(53), 24, 24))
+    assert len(fields) == 1 and len(builds) == 1
+    assert len(swept) == 1 and swept[0] is fields[0]._direction_grid

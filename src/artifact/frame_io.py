@@ -253,6 +253,7 @@ def _iter_pgm_sequence(directory: Path) -> Iterator[LumaFrame]:
 
 
 def _read_pgm(path: Path, index: int) -> LumaFrame:
+    """The first image of a binary PGM file; any bytes after it are ignored."""
     data = path.read_bytes()
     if not data.startswith(b"P5"):
         raise FrameSourceError(f"{path.name}: only binary (P5) PGM is supported")
@@ -267,6 +268,10 @@ def _read_pgm(path: Path, index: int) -> LumaFrame:
     width, height, maxval = fields
     if maxval > 255:
         raise FrameSourceError(f"{path.name}: 16-bit PGM (maxval {maxval}) unsupported")
+    if maxval == 0:
+        raise FrameSourceError(f"{path.name}: PGM maxval must be at least 1")
+    if not data[pos : pos + 1].isspace():
+        raise FrameSourceError(f"{path.name}: malformed PGM header (no whitespace after maxval)")
     pos += 1  # single whitespace byte after maxval
     pixels = data[pos : pos + width * height]
     if len(pixels) != width * height:

@@ -2,13 +2,14 @@
 
 Both operators replicate the border pixel outward before applying their 3x3
 windows, so output geometry always equals input geometry.  Samples are 8-bit,
-so both are exact in integers: Kirsch runs in int16 (no intermediate exceeds
-+/-6120, no response +/-3825) and Sobel accumulates its window products in
-int32.  Only the Sobel magnitude and phase are float64.
+so both are exact in int16: no Kirsch intermediate exceeds +/-6120 (no
+response +/-3825), and no Sobel component exceeds +/-1020.  Only the Sobel
+magnitude and phase are float64, and both are built only when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ KIRSCH_MASKS = np.array(
     dtype=np.int32,
 )
 
+# sobel_gradient works from separable [1, 2, 1] sums instead; these masks are
+# the reference that its results are tested against.
 SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int32)
 SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.int32)
 
@@ -76,18 +79,20 @@ class GradientField:
 class SobelField:
     """Per-pixel Sobel responses.
 
-    phase is the four-quadrant arctangent of (sy, sx) in degrees, normalised
-    to [0, 360); it is computed lazily because several consumers only need
-    the raw component sums.  Pixels with sx == sy == 0 have no phase; see
-    ``undefined``.  The quantized direction grid is cached next to it by
-    ``direction_grid``.
+    sx and sy are exact int16 components in [-1020, 1020].  magnitude and
+    phase are float64 and built on first access, from int32 and float64
+    copies of the components: sx * sx overflows int16, and arctan2 on int16
+    inputs computes in float32.  phase is the four-quadrant arctangent of
+    (sy, sx) in degrees, normalised to [0, 360).  Pixels with sx == sy == 0
+    have no phase; see ``undefined``.  The quantized direction grid is
+    cached here by ``direction_grid``.
     """
 
     width: int
     height: int
-    sx: np.ndarray  # int32
-    sy: np.ndarray  # int32
-    magnitude: np.ndarray  # float64
+    sx: np.ndarray  # int16
+    sy: np.ndarray  # int16
+    _magnitude: np.ndarray | None = field(default=None, repr=False)
     _phase: np.ndarray | None = field(default=None, repr=False)
     _direction_grid: np.ndarray | None = field(default=None, repr=False)
 
@@ -97,30 +102,18 @@ class SobelField:
         return (self.sx == 0) & (self.sy == 0)
 
     @property
+    def magnitude(self) -> np.ndarray:
+        if self._magnitude is None:
+            sx, sy = self.sx.astype(np.int32), self.sy.astype(np.int32)
+            self._magnitude = np.sqrt((sx * sx + sy * sy).astype(np.float64))
+        return self._magnitude
+
+    @property
     def phase(self) -> np.ndarray:
         if self._phase is None:
-            self._phase = np.degrees(np.arctan2(self.sy, self.sx)) % 360.0
+            radians = np.arctan2(self.sy, self.sx, dtype=np.float64)
+            self._phase = np.degrees(radians) % 360.0
         return self._phase
-
-
-def _windows(samples: np.ndarray) -> list[np.ndarray]:
-    """The nine 3x3-neighbour views of an edge-replicated plane.
-
-    Returned in row-major window order, matching a mask flattened with
-    ``mask.ravel()``.
-    """
-    padded = np.pad(samples.astype(np.int32), 1, mode="edge")
-    h, w = samples.shape
-    return [padded[r : r + h, c : c + w] for r in range(3) for c in range(3)]
-
-
-def _correlate(views: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
-    flat = mask.ravel()
-    out = np.zeros_like(views[0])
-    for view, coeff in zip(views, flat):
-        if coeff:
-            out += coeff * view
-    return out
 
 
 def _compass_sums(samples: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -173,11 +166,17 @@ def kirsch_gradient(frame: LumaFrame) -> GradientField:
 
 
 def sobel_gradient(frame: LumaFrame) -> SobelField:
-    views = _windows(frame.samples)
-    sx = _correlate(views, SOBEL_X)
-    sy = _correlate(views, SOBEL_Y)
-    magnitude = np.sqrt((sx * sx + sy * sy).astype(np.float64))
-    return SobelField(frame.width, frame.height, sx, sy, magnitude)
+    """Sobel components from separable [1, 2, 1] sums of the padded plane.
+
+    sx is the [1, 2, 1] column sum differenced across columns, and sy the
+    [1, 2, 1] row sum differenced across rows; each sum is at most 1020.
+    """
+    padded = np.pad(frame.samples.astype(np.int16), 1, mode="edge")
+    cols = padded[:-2] + 2 * padded[1:-1] + padded[2:]
+    rows = padded[:, :-2] + 2 * padded[:, 1:-1] + padded[:, 2:]
+    sx = cols[:, 2:] - cols[:, :-2]
+    sy = rows[2:] - rows[:-2]
+    return SobelField(frame.width, frame.height, sx, sy)
 
 
 def quantize_direction(phase_degrees: float) -> int:
@@ -185,15 +184,68 @@ def quantize_direction(phase_degrees: float) -> int:
     return int(np.floor((phase_degrees % 360.0) / DEGREES_PER_BIN)) % DIRECTION_BIN_COUNT
 
 
+# tan(6k degrees) for k = 1..7: the bin edges inside the octant [0, 45].
+_OCTANT_TANGENTS = np.tan(np.radians(DEGREES_PER_BIN * np.arange(1, 8))).astype(np.float32)
+
+
+def _octant_bins() -> np.ndarray:
+    """Direction bin per classifier cell, from ``quantize_direction``.
+
+    A cell is (sign of sx, sign of sy, |sy| > |sx|, k), where k counts the
+    octant tangents below min(|sx|, |sy|) / max(|sx|, |sy|), so the angle
+    folded into the octant lies in [6k, 6k + 6) degrees.  Every vector of a
+    cell is in one bin: 6-degree edges are reached only where the folded
+    angle is a multiple of 6, that is on an axis (tan 6k is irrational
+    otherwise), and an axis vector has k = 0 and its own sign cell.  The
+    folded angle 6k + 1 therefore stands for the whole cell.  Laid out as
+    index 72 * swap + 24 * (sign sx + 1) + 8 * (sign sy + 1) + k.
+    """
+    bins = np.empty((2, 3, 3, 8), dtype=np.int8)
+    for swap, gx, gy, k in np.ndindex(bins.shape):
+        folded = math.radians(DEGREES_PER_BIN * k + 1)
+        low, high = math.sin(folded), math.cos(folded)
+        ax, ay = (low, high) if swap else (high, low)
+        x, y = (gx - 1) * ax, (gy - 1) * ay
+        if x == 0 and y == 0:
+            bins[swap, gx, gy, k] = -1
+        else:
+            bins[swap, gx, gy, k] = quantize_direction(math.degrees(math.atan2(y, x)))
+    return bins.ravel()
+
+
+_OCTANT_BINS = _octant_bins()
+
+
+def classify_directions(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """int8 direction bin of each (sx, sy) pair; -1 where both are zero.
+
+    Equal to ``quantize_direction`` of the float64 phase for every pair of
+    integer components in [-1020, 1020], with no arctangent: the vector is
+    folded by its signs and by which component is larger into one octant,
+    counted against the octant tangents, and unfolded by a cell table.
+    No float32 ratio of two integers up to 1020 lands on the wrong side of
+    a float32 tangent; the domain is finite, and the tests check all 2041^2
+    pairs against the float64 reference.
+    """
+    ax, ay = np.abs(sx), np.abs(sy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # NaN where both are zero; that cell is -1 whatever k reads.
+        ratio = np.divide(np.minimum(ax, ay), np.maximum(ax, ay), dtype=np.float32)
+    index = np.multiply(ay > ax, 72, dtype=np.int16)
+    index += 24 + 8
+    index += 24 * np.sign(sx)
+    index += 8 * np.sign(sy)
+    index += np.searchsorted(_OCTANT_TANGENTS, ratio)
+    return _OCTANT_BINS.take(index)
+
+
 def direction_grid(sobel: SobelField) -> np.ndarray:
-    """Quantized direction bin per pixel; -1 where the phase is undefined.
+    """Quantized direction bin per pixel, int8; -1 where it is undefined.
 
     Built once per field and shared by every caller, so it is read-only.
     """
     if sobel._direction_grid is None:
-        bins = np.floor_divide(sobel.phase, DEGREES_PER_BIN).astype(np.int64)
-        np.mod(bins, DIRECTION_BIN_COUNT, out=bins)
-        bins[sobel.undefined] = -1
-        bins.flags.writeable = False
-        sobel._direction_grid = bins
+        grid = classify_directions(sobel.sx, sobel.sy)
+        grid.flags.writeable = False
+        sobel._direction_grid = grid
     return sobel._direction_grid

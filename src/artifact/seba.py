@@ -19,6 +19,7 @@ from .gradient import (
     DEGREES_PER_BIN,
     DIRECTION_BIN_COUNT,
     SobelField,
+    classify_directions,
     direction_grid,
     sobel_gradient,
 )
@@ -97,12 +98,14 @@ class GdvTable:
 
 
 def accumulate_ems(sobel: SobelField, region: BlockRegion | None = None) -> EmsTable:
-    bins = _region_view(direction_grid(sobel), region).ravel()
-    sx = _region_view(sobel.sx, region).ravel().astype(np.float64)
-    sy = _region_view(sobel.sy, region).ravel().astype(np.float64)
-    defined = bins >= 0
-    ems_x = np.bincount(bins[defined], weights=sx[defined], minlength=DIRECTION_BIN_COUNT)
-    ems_y = np.bincount(bins[defined], weights=sy[defined], minlength=DIRECTION_BIN_COUNT)
+    # Slot 0 collects the undefined pixels (bin -1) and is dropped.  The
+    # components go in as float64: bincount's own int16 conversion is slower.
+    slots = (_region_view(direction_grid(sobel), region).ravel() + 1).astype(np.intp)
+    ems_x, ems_y = (
+        np.bincount(slots, weights=_region_view(component, region).ravel().astype(np.float64),
+                    minlength=DIRECTION_BIN_COUNT + 1)[1:]
+        for component in (sobel.sx, sobel.sy)
+    )
     return EmsTable(ems_x=ems_x, ems_y=ems_y)
 
 
@@ -177,39 +180,35 @@ def family_bins(orientation: int) -> np.ndarray:
     return np.array(sorted(kept), dtype=np.int64)
 
 
-# Tangents of the kept-bin boundaries around each family axis.  The kept
-# bins span [-6, +12) degrees per axis; the pre-filter ratio 7/32 = 0.21875
-# sits strictly between tan(12) and tan(12.5), so the filter stays a strict
-# superset of the kept span while the test runs in integer arithmetic.
-_TAN6 = float(np.tan(np.radians(6.0)))
-_TAN12 = float(np.tan(np.radians(12.0)))
-_SLACK_NUM = 7
-_SLACK_DEN = 32
+# (cos, sin) of each family's arm angle 6s degrees, times 16 and rounded.
+# Each rounded arm is within 1.4 degrees of the true one, and |cos| + |sin|
+# <= 23 keeps every rotated component within 23 * 1020 < 32767, so the
+# rotation is exact in int16.
+_ARM_ROTATIONS = [
+    (round(16 * np.cos(np.radians(angle))), round(16 * np.sin(np.radians(angle))))
+    for angle in range(0, 90, DEGREES_PER_BIN)
+]
 
 
-def _arm_bins(u: np.ndarray, v: np.ndarray, swap: np.ndarray,
-              mx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quantized bins for components already near a quadrant arm.
+def _near_family_arm(sx: np.ndarray, sy: np.ndarray, family: int) -> np.ndarray:
+    """A superset of the pixels whose bin can be in ``family_bins(family)``.
 
-    ``swap`` marks components whose dominant axis is vertical, ``mx`` is the
-    dominant absolute component.  Works off tangent comparisons alone -- no
-    arctangent.  Integer gradients never fall exactly on a 6-degree
-    boundary (the tangents are irrational), so this agrees bit-for-bit with
-    quantizing the arctangent.  Returns ``(bins, kept)`` where ``kept``
-    flags the pixels inside the [-6, +12) span of their arm; bins are only
-    meaningful under ``kept``.
+    The kept bins span [-6, +12) degrees around each of the four arms.  After
+    rotating the components onto the rounded arms, min <= max / 4 keeps every
+    vector within atan(1/4) = 14.04 degrees of an arm, which covers that span
+    and the rounding.  Every intermediate fits int16.
     """
-    # Signed perpendicular offset from the arm, with the sign of the
-    # dominant ("along") component factored out so the arm angle grows with
-    # positive offset on every arm.
-    along_neg = np.where(swap, v < 0, u < 0)
-    perp = np.where(swap, -u, v)
-    np.negative(perp, where=along_neg, out=perp)
-    p6 = mx * _TAN6
-    kept = (perp >= -p6) & (perp < mx * _TAN12)
-    arm = 2 * along_neg + swap
-    off = np.subtract(perp >= p6, perp < 0, dtype=np.int64)
-    return QUADRANT_BINS * arm + off, kept
+    cos, sin = _ARM_ROTATIONS[family % QUADRANT_BINS]
+    if sin:
+        u = cos * sx + sin * sy
+        v = cos * sy - sin * sx
+    else:
+        u, v = sx, sy
+    au, av = np.abs(u), np.abs(v)
+    low = np.minimum(au, av)
+    high = np.maximum(au, av)
+    high >>= 2
+    return low <= high
 
 
 def direction_histogram(
@@ -220,59 +219,24 @@ def direction_histogram(
     """Histogram of quantized directions over a region.
 
     With ``family`` set, only the twelve bins of ``family_bins(family)``
-    are accumulated, and the arctangent is skipped entirely: a cheap
-    component-ratio test drops every pixel that cannot land in a kept bin,
-    and the survivors are binned by tangent comparisons.  Kept bins match
-    the full histogram exactly.
+    are accumulated: an integer test drops every pixel that cannot land in
+    a kept bin, and only the survivors are classified, by the classifier
+    that builds the full grid.  Kept bins match the full histogram exactly.
     """
     if family is None:
         bins = _region_view(direction_grid(sobel), region).ravel()
-        counts = np.bincount(bins[bins >= 0], minlength=DIRECTION_BIN_COUNT)
-        return DirectionHistogram(bins=counts, total=int(counts.sum()))
-
-    s = family % QUADRANT_BINS
-    ui = _region_view(sobel.sx, region).ravel()
-    vi = _region_view(sobel.sy, region).ravel()
-    axis_counts = None
-    if s:
-        # Pixels lying exactly on a coordinate axis would land exactly on a
-        # rotated bin boundary, where float rounding could tip them either
-        # way.  Count them here with exact integer tests and drop them from
-        # the rotated classifier.  Their bins (0, 15, 30, 45) are only kept
-        # by the families adjacent to an axis.
-        on_axis = (ui == 0) | (vi == 0)
-        if s in (1, QUADRANT_BINS - 1):
-            axis_counts = (
-                int(np.count_nonzero((vi == 0) & (ui > 0))),
-                int(np.count_nonzero((ui == 0) & (vi > 0))),
-                int(np.count_nonzero((vi == 0) & (ui < 0))),
-                int(np.count_nonzero((ui == 0) & (vi < 0))),
-            )
-        # Rotate so the family axes align with the coordinate axes; the
-        # family-0 classifier then applies unchanged.
-        theta = np.radians(s * DEGREES_PER_BIN)
-        u = ui * np.cos(theta) + vi * np.sin(theta)
-        v = vi * np.cos(theta) - ui * np.sin(theta)
     else:
-        u, v = ui, vi
-    au, av = np.abs(u), np.abs(v)
-    swap = au < av
-    mx = np.maximum(au, av)
-    near_axis = np.minimum(au, av) * _SLACK_DEN <= mx * _SLACK_NUM
-    if s:
-        near_axis &= ~on_axis
-    else:
-        near_axis &= mx > 0
-    idx = np.flatnonzero(near_axis)
-    labels, kept = _arm_bins(u.take(idx), v.take(idx), swap.take(idx),
-                             mx.take(idx))
-    final = (labels[kept] + s) % DIRECTION_BIN_COUNT
-    counts = np.bincount(final, minlength=DIRECTION_BIN_COUNT)
-    if axis_counts is not None:
-        counts[0] += axis_counts[0]
-        counts[QUADRANT_BINS] += axis_counts[1]
-        counts[2 * QUADRANT_BINS] += axis_counts[2]
-        counts[3 * QUADRANT_BINS] += axis_counts[3]
+        sx = _region_view(sobel.sx, region).ravel()
+        sy = _region_view(sobel.sy, region).ravel()
+        near = np.flatnonzero(_near_family_arm(sx, sy, family))
+        bins = classify_directions(sx.take(near), sy.take(near))
+    # Slot 0 collects the undefined pixels (bin -1) and is dropped.
+    counts = np.bincount(bins + 1, minlength=DIRECTION_BIN_COUNT + 1)[1:]
+    if family is not None:
+        kept = family_bins(family)
+        reduced = np.zeros_like(counts)
+        reduced[kept] = counts[kept]
+        counts = reduced
     return DirectionHistogram(bins=counts, total=int(counts.sum()))
 
 
@@ -363,13 +327,6 @@ class PatternOrientation:
     shift_scores: np.ndarray  # float64[15]
 
 
-def default_rotation_mask() -> np.ndarray:
-    """Indicator mask picking one bin per quadrant arm."""
-    mask = np.zeros(QUADRANT_BINS)
-    mask[0] = 1.0
-    return mask
-
-
 def rotation_offset(
     hist: DirectionHistogram,
     mask: np.ndarray | None = None,
@@ -383,7 +340,10 @@ def rotation_offset(
     counts = hist.bins.astype(np.float64)
     if not counts.any():
         return None
-    mask = default_rotation_mask() if mask is None else np.asarray(mask, dtype=np.float64)
+    if mask is None:
+        mask = np.zeros(QUADRANT_BINS)
+        mask[0] = 1.0  # one bin per quadrant arm
+    mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != (QUADRANT_BINS,):
         raise ValueError(f"rotation mask must have {QUADRANT_BINS} entries")
     scores = np.zeros(QUADRANT_BINS)
@@ -473,10 +433,11 @@ def _axis_period(grid: np.ndarray, max_shift: int, horizontal: bool) -> tuple[in
     defined = lines >= 0
     # Undefined entries read -1 in the base and -2 in the shifted copy, so
     # an equal pair is always a defined match: the count is exactly score.
+    # (Arithmetic, not np.where, which is several times slower on int8.)
     small = np.issubdtype(lines.dtype, np.integer) and lines.max(initial=-1) <= 127
     dtype = np.int8 if small else lines.dtype
-    base = np.ascontiguousarray(np.where(defined, lines, -1), dtype=dtype)
-    shifted = np.ascontiguousarray(np.where(defined, lines, -2), dtype=dtype)
+    base = np.ascontiguousarray(lines * defined - ~defined, dtype=dtype)
+    shifted = base - (base < 0)
     # base_defined[s]: defined pixels from line s on, the base side at shift s.
     base_defined = np.cumsum(np.count_nonzero(defined, axis=1)[::-1])[::-1]
     n = len(base)

@@ -192,6 +192,19 @@ def test_hostile_y4m_header_exits_2_with_a_message(tmp_path, capsys, geometry, m
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "header,message",
+    [(b"P5\n4 4\n0\n", "maxval must be at least 1"),
+     (b"P5\n4 4\n255x", "no whitespace after maxval")],
+)
+def test_malformed_pgm_header_exits_2_with_a_message(tmp_path, capsys, header, message):
+    (tmp_path / "a.pgm").write_bytes(header + bytes(16))
+    assert _run(["seba", "--input", str(tmp_path), "--format", "image-sequence"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("artifact seba: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 def test_short_sequence_warns_once_on_stderr(tmp_path, capsys):
     frames = [pattern_frame(PatternSpec(kind="block-grid", period=16, amplitude=64), 16, 16)] * 3
     clip = tmp_path / "clip.y4m"

@@ -210,6 +210,24 @@ def test_pgm_rejects_truncated_pixels(tmp_path):
         list(load_frame_sequence(SourceSpec(tmp_path, format="image-sequence")))
 
 
+@pytest.mark.parametrize(
+    "header",
+    [b"P5\n4 4\n0\n", b"P5\n4 4\n255x"],
+    ids=["maxval-0", "no-whitespace-after-maxval"],
+)
+def test_pgm_rejects_malformed_maxval(tmp_path, header):
+    (tmp_path / "a.pgm").write_bytes(header + bytes(16))
+    with pytest.raises(FrameSourceError):
+        list(load_frame_sequence(SourceSpec(tmp_path, format="image-sequence")))
+
+
+def test_pgm_ignores_bytes_after_the_payload(tmp_path):
+    grid = np.arange(16, dtype=np.uint8).reshape(4, 4)
+    (tmp_path / "a.pgm").write_bytes(b"P5\n4 4\n255\n" + grid.tobytes() + b"P5\n4 4\n255\n" + bytes(16))
+    (frame,) = load_frame_sequence(SourceSpec(tmp_path, format="image-sequence"))
+    assert np.array_equal(frame.samples, grid)
+
+
 def test_pgm_sequence_requires_consistent_geometry(tmp_path):
     _write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))
     _write_pgm(tmp_path / "b.pgm", np.zeros((4, 6), dtype=np.uint8))

@@ -8,15 +8,18 @@ from scipy import signal
 
 from artifact.blockiness import accumulate_buckets
 from artifact.gradient import (
+    DEGREES_PER_BIN,
     DIRECTION_BIN_COUNT,
     KIRSCH_MASKS,
     SOBEL_X,
     SOBEL_Y,
+    SobelField,
     direction_grid,
     kirsch_gradient,
     quantize_direction,
     sobel_gradient,
 )
+from artifact.seba import _ARM_ROTATIONS, _near_family_arm, family_bins
 from conftest import frame_of, random_frame
 
 
@@ -192,3 +195,72 @@ def test_phase_is_computed_once_and_cached():
     assert field._phase is None
     first = field.phase
     assert field.phase is first
+
+
+def _reference_bins(sx, sy):
+    """float64 degrees(arctan2) % 360 // 6, and -1 where sx == sy == 0."""
+    phase = np.degrees(np.arctan2(sy.astype(np.float64), sx.astype(np.float64))) % 360.0
+    bins = (phase // DEGREES_PER_BIN).astype(np.int64) % DIRECTION_BIN_COUNT
+    bins[(sx == 0) & (sy == 0)] = -1
+    return bins
+
+
+def _all_component_pairs(rows_per_chunk=256):
+    """Every (sx, sy) with both in [-1020, 1020], as int16 (sy rows, sx columns) chunks."""
+    values = np.arange(-1020, 1021, dtype=np.int16)
+    for start in range(0, values.size, rows_per_chunk):
+        sy = values[start : start + rows_per_chunk, None]
+        yield np.broadcast_to(values, (sy.size, values.size)).copy(), np.repeat(sy, values.size, axis=1)
+
+
+def test_direction_grid_matches_float64_reference_on_every_component_pair():
+    for sx, sy in _all_component_pairs():
+        grid = direction_grid(SobelField(sx.shape[1], sx.shape[0], sx, sy))
+        assert grid.dtype == np.int8
+        assert np.array_equal(grid, _reference_bins(sx, sy))
+
+
+def test_family_prefilter_keeps_every_pixel_of_the_kept_bins():
+    for sx, sy in _all_component_pairs(rows_per_chunk=512):
+        bins = _reference_bins(sx, sy)
+        for family in range(15):
+            kept = np.isin(bins, family_bins(family))
+            assert not (kept & ~_near_family_arm(sx, sy, family)).any(), family
+
+
+def test_family_prefilter_has_no_int16_overflow():
+    # Rotated components are linear, so they peak on the border of the
+    # component square; an int16 overflow there would differ from int64.
+    assert all((abs(c) + abs(s)) * 1020 <= 32767 for c, s in _ARM_ROTATIONS)
+    edge = np.arange(-1020, 1021)
+    full = np.full_like(edge, 1020)
+    sx = np.concatenate([edge, edge, full, -full])
+    sy = np.concatenate([full, -full, edge, edge])
+    for family in range(15):
+        wide = _near_family_arm(sx.astype(np.int64), sy.astype(np.int64), family)
+        assert np.array_equal(_near_family_arm(sx.astype(np.int16), sy.astype(np.int16), family), wide)
+
+
+def test_phase_is_float64_where_float32_would_change_the_bin():
+    # arctan2 on int16 computes in float32, which puts both pairs exactly on
+    # a bin edge (312 and 222 degrees) and rounds them into the wrong bin.
+    sx = np.array([[669, -743]], dtype=np.int16)
+    sy = np.array([[-743, -669]], dtype=np.int16)
+    field = SobelField(2, 1, sx, sy)
+    assert field.phase.dtype == np.float64
+    oracle = [math.degrees(math.atan2(y, x)) % 360.0 for x, y in ((669, -743), (-743, -669))]
+    assert field.phase[0].tolist() == pytest.approx(oracle, rel=1e-12, abs=0)
+    assert [quantize_direction(p) for p in oracle] == [51, 36]
+    assert direction_grid(field).tolist() == [[51, 36]]
+
+
+def test_magnitude_is_exact_at_the_int16_extremes():
+    # A 0/255 checkerboard puts |sx| = 1020 and |sy| = 1020 on its block
+    # edges, where sx * sx overflows int16.
+    checker = np.kron(np.array([[0, 255], [255, 0]], np.uint8), np.ones((4, 4), np.uint8))
+    field = sobel_gradient(frame_of(checker))
+    assert field.sx.dtype == field.sy.dtype == np.int16
+    assert np.abs(field.sx).max() == np.abs(field.sy).max() == 1020
+    sx, sy = field.sx.astype(np.int64), field.sy.astype(np.int64)
+    assert field.magnitude.dtype == np.float64
+    assert np.array_equal(field.magnitude, np.sqrt(sx * sx + sy * sy))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import frame_of, random_frame
-from artifact import seba
-from artifact.gradient import direction_grid, quantize_direction, sobel_gradient
+from artifact import gradient, seba
+from artifact.gradient import SobelField, direction_grid, quantize_direction, sobel_gradient
 from artifact.seba import (
     BlockRegion,
     DirectionHistogram,
@@ -190,11 +190,19 @@ def _axis_heavy_frames():
     return [frame_of(cols), frame_of(rows.astype(np.uint8))]
 
 
+def _component_lattice_field():
+    # Every 5th component value in [-1020, 1020] against every other: both
+    # extremes, both axes and the diagonals, outside any real frame.
+    values = np.arange(-1020, 1021, 5, dtype=np.int16)
+    sx, sy = np.meshgrid(values, values)
+    return SobelField(values.size, values.size, sx, sy)
+
+
 def test_reduced_histogram_equals_full_on_kept_bins():
     rng = np.random.default_rng(46)
     frames = [random_frame(rng, 32, 40) for _ in range(3)] + _axis_heavy_frames()
-    for frame in frames:
-        sobel = sobel_gradient(frame)
+    fields = [sobel_gradient(frame) for frame in frames] + [_component_lattice_field()]
+    for sobel in fields:
         full = direction_histogram(sobel)
         for s in range(15):
             reduced = direction_histogram(sobel, family=s)
@@ -486,19 +494,19 @@ def test_analyze_frame_returns_summary():
 
 
 def test_analyze_frame_builds_the_direction_grid_once(monkeypatch):
-    # The grid is quantized from the field's phase exactly once, and the
-    # period sweep gets that same cached array.
+    # The grid is classified from the field's components exactly once, the
+    # period sweep gets that same cached array, and no float64 phase or
+    # magnitude plane is built.
     fields, swept, builds = [], [], []
-    floor_divide = np.floor_divide
+    classify = gradient.classify_directions
 
     def sobel(frame):
         fields.append(sobel_gradient(frame))
         return fields[-1]
 
-    def counting_floor_divide(x, *args, **kwargs):
-        if fields and x is fields[-1]._phase:
-            builds.append(x)
-        return floor_divide(x, *args, **kwargs)
+    def counting_classify(sx, sy):
+        builds.append(sx)
+        return classify(sx, sy)
 
     def dimensions(grid, max_shift=None):
         swept.append(grid)
@@ -506,7 +514,9 @@ def test_analyze_frame_builds_the_direction_grid_once(monkeypatch):
 
     monkeypatch.setattr(seba, "sobel_gradient", sobel)
     monkeypatch.setattr(seba, "pattern_dimensions", dimensions)
-    monkeypatch.setattr(np, "floor_divide", counting_floor_divide)
+    monkeypatch.setattr(gradient, "classify_directions", counting_classify)
+    monkeypatch.setattr(seba, "classify_directions", counting_classify)
     analyze_frame(random_frame(np.random.default_rng(53), 24, 24))
-    assert len(fields) == 1 and len(builds) == 1
+    assert len(fields) == 1 and len(builds) == 1 and builds[0] is fields[0].sx
     assert len(swept) == 1 and swept[0] is fields[0]._direction_grid
+    assert fields[0]._phase is None and fields[0]._magnitude is None

@@ -141,6 +141,7 @@ def _iter_y4m(handle: BinaryIO) -> Iterator[LumaFrame]:
             f"fewer than one {width}x{height} C{chroma} frame"
         )
 
+    skipped = bytearray(chroma_bytes)
     index = 0
     while True:
         marker = _read_line(handle)
@@ -148,11 +149,10 @@ def _iter_y4m(handle: BinaryIO) -> Iterator[LumaFrame]:
             return
         if not marker.startswith(b"FRAME"):
             raise FrameSourceError(f"expected FRAME marker, got {marker[:20]!r}")
-        payload = handle.read(luma_bytes + chroma_bytes)
-        if len(payload) != luma_bytes + chroma_bytes:
+        plane = np.empty((height, width), dtype=np.uint8)
+        if not _read_frame(handle, plane, skipped):
             raise FrameSourceError(f"truncated y4m frame payload at frame {index}")
-        plane = np.frombuffer(payload[:luma_bytes], dtype=np.uint8)
-        yield LumaFrame(width, height, plane.reshape(height, width).copy(), index)
+        yield LumaFrame(width, height, plane, index)
         index += 1
 
 
@@ -194,6 +194,12 @@ def _read_line(handle: BinaryIO) -> bytes:
             raise FrameSourceError("unterminated header line")
 
 
+def _read_frame(handle: BinaryIO, plane: np.ndarray, skipped: bytearray) -> bool:
+    """Read one frame's luma straight into ``plane`` and its chroma into the
+    reused ``skipped`` buffer, which is discarded; False on a short read."""
+    return handle.readinto(plane) == plane.size and handle.readinto(skipped) == len(skipped)
+
+
 # --- headerless raw YUV -------------------------------------------------
 
 _RAW_FRAME_BYTES = {
@@ -221,13 +227,12 @@ def _iter_raw_yuv(
             f"file size {total} is not a multiple of the {stride}-byte "
             f"frame stride implied by {width}x{height} {layout}"
         )
-    luma_bytes = width * height
+    skipped = bytearray(stride - width * height)
     for index in range(total // stride):
-        payload = handle.read(stride)
-        if len(payload) != stride:
+        plane = np.empty((height, width), dtype=np.uint8)
+        if not _read_frame(handle, plane, skipped):
             raise FrameSourceError(f"short read at raw frame {index}")
-        plane = np.frombuffer(payload[:luma_bytes], dtype=np.uint8)
-        yield LumaFrame(width, height, plane.reshape(height, width).copy(), index)
+        yield LumaFrame(width, height, plane, index)
 
 
 # --- PGM image sequences -------------------------------------------------

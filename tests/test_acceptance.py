@@ -256,8 +256,8 @@ def test_criterion_8_bin_reduction_speedup():
     def best_of(runs, family):
         best = float("inf")
         for _ in range(runs):
-            # Fresh field each run: the full path memoises its phase plane,
-            # and a warm cache would flatter it.
+            # Fresh field each run: the full path memoises its direction
+            # grid, and a warm cache would flatter it.
             field = sobel_gradient(frame)
             started = time.perf_counter()
             direction_histogram(field, family=family)

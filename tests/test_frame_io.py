@@ -10,6 +10,7 @@ from artifact.frame_io import (
     GeometryError,
     LumaFrame,
     SourceSpec,
+    _iter_raw_yuv,
     _iter_y4m,
     load_frame_sequence,
 )
@@ -91,6 +92,22 @@ def test_y4m_rejects_truncated_payload(tmp_path):
         list(load_frame_sequence(SourceSpec(clip)))
 
 
+@pytest.mark.parametrize("cut", [1, 6, 7, 12])
+def test_y4m_rejects_a_later_frame_cut_in_luma_or_chroma(tmp_path, cut):
+    # 6x4 4:2:0 frames hold 24 luma and 12 chroma bytes; the cut drops the
+    # last bytes of the second frame, from its chroma or into its luma.
+    planes = [_plane(4, 6), _plane(4, 6, start=5)]
+    body = _y4m_bytes(6, 4, planes, chroma=b"420")[:-cut]
+    clip = tmp_path / "clip.y4m"
+    clip.write_bytes(body)
+    for source in (lambda: load_frame_sequence(SourceSpec(clip)), lambda: _iter_y4m(io.BytesIO(body))):
+        frames = []
+        with pytest.raises(FrameSourceError, match="truncated y4m frame payload at frame 1"):
+            frames.extend(source())
+        assert len(frames) == 1
+        assert np.array_equal(frames[0].samples, planes[0].reshape(4, 6))
+
+
 def test_y4m_rejects_unknown_colourspace(tmp_path):
     clip = tmp_path / "clip.y4m"
     clip.write_bytes(b"YUV4MPEG2 W4 H4 C410\nFRAME\n" + bytes(24))
@@ -135,6 +152,21 @@ def test_raw_yuv_strides(tmp_path, layout, stride_factor):
     assert len(frames) == 2
     for index, frame in enumerate(frames):
         assert np.array_equal(frame.samples, luma[index].reshape(height, width))
+
+
+@pytest.mark.parametrize("cut", [1, 12, 13, 36])
+def test_raw_yuv_short_read_is_a_source_error(tmp_path, cut):
+    # A file that shrinks while it is read: the handle ends before the
+    # size checked up front, in the last frame's chroma or luma.
+    luma = [_plane(4, 6), _plane(4, 6, start=9)]
+    blob = b"".join(p.tobytes() + bytes(12) for p in luma)
+    raw = tmp_path / "clip.yuv"
+    raw.write_bytes(blob)
+    frames = []
+    with pytest.raises(FrameSourceError, match="short read at raw frame 1"):
+        frames.extend(_iter_raw_yuv(io.BytesIO(blob[:-cut]), (6, 4), "yuv420", raw))
+    assert len(frames) == 1
+    assert np.array_equal(frames[0].samples, luma[0].reshape(4, 6))
 
 
 def test_raw_yuv_needs_geometry(tmp_path):

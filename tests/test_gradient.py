@@ -13,6 +13,7 @@ from artifact.gradient import (
     KIRSCH_MASKS,
     SOBEL_X,
     SOBEL_Y,
+    STRIP_PIXELS,
     SobelField,
     direction_grid,
     kirsch_gradient,
@@ -87,6 +88,52 @@ def test_kirsch_matches_scipy_on_random_frames():
         assert field._direction_index is None
         # argmax on the stacked oracle also resolves ties to the lowest mask
         assert np.array_equal(field.direction_index, responses.argmax(axis=0) + 1)
+
+
+def _check_against_masks(frame):
+    responses = np.stack([np.abs(_scipy_correlate(frame.samples, m)) for m in KIRSCH_MASKS])
+    field = kirsch_gradient(frame)
+    magnitude = field.magnitude
+    assert magnitude.dtype == np.int16
+    assert magnitude.shape == (frame.height, frame.width)
+    assert magnitude.flags.c_contiguous
+    assert field._direction_index is None
+    assert np.array_equal(magnitude, responses.max(axis=0))
+    assert field.direction_index.dtype == np.uint8
+    assert np.array_equal(field.direction_index, responses.argmax(axis=0) + 1)
+
+
+# Kirsch runs in strips of STRIP_PIXELS // width rows: 32 rows at width 2048.
+STRIP_WIDTH = 2048
+
+
+@pytest.mark.parametrize("strips", [1, 2])
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+def test_kirsch_strip_boundaries_match_mask_oracle(strips, extra_rows):
+    rows = STRIP_PIXELS // STRIP_WIDTH
+    assert rows > 1
+    rng = np.random.default_rng(100 + 3 * strips + extra_rows)
+    _check_against_masks(random_frame(rng, strips * rows + extra_rows, STRIP_WIDTH))
+    # Ties between masks and the +/-3825 extremes sit on the strip seams too.
+    binary = 255 * rng.integers(0, 2, size=(strips * rows + extra_rows, STRIP_WIDTH))
+    _check_against_masks(frame_of(binary))
+
+
+def test_kirsch_one_row_strips_match_mask_oracle():
+    # Wider than a strip: every strip is a single row.
+    rng = np.random.default_rng(104)
+    _check_against_masks(random_frame(rng, 4, STRIP_PIXELS + 5))
+
+
+def test_kirsch_small_and_strided_inputs_match_mask_oracle():
+    rng = np.random.default_rng(105)
+    _check_against_masks(random_frame(rng, 3, 3))
+    # A strided view spanning several strips, not a contiguous array.
+    view = rng.integers(0, 256, size=(150, 2 * STRIP_WIDTH + 1)).astype(np.uint8)[::2, ::2]
+    frame = frame_of(view)
+    assert not frame.samples.flags.c_contiguous
+    assert frame.height > 2 * STRIP_PIXELS // frame.width
+    _check_against_masks(frame)
 
 
 def test_sobel_phase_matches_atan2_oracle():
